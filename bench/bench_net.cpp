@@ -1,8 +1,9 @@
 // Network front benchmark: what the epoll TCP layer adds on top of the
 // recognizer it fronts, measured end to end over loopback sockets.
 //
-// Three questions, each against both Recognizer implementations (a
-// drive-mode LocalRecognizer and a started ShardedEngine in pump mode):
+// Three questions, each against both ways of serving a ShardedEngine (a
+// caller-driven one-shard engine the server loop steps in drive mode,
+// and a started multi-shard engine whose pumps serve):
 //
 //  - wire-to-first-partial latency: the clock starts when a client
 //    writes its first audio byte and stops when the first hypothesis
@@ -19,10 +20,9 @@
 //    connections carrying a tight deadline budget open mid-backlog and
 //    must be refused with the typed kRejectedOverBudget — admission
 //    control over the wire, not just in-process. (A drive-mode
-//    LocalRecognizer drains its whole backlog inside each loop
-//    iteration, so real-clock lag never spans an OPEN check; its
-//    admission path is covered deterministically in test_net.cpp under
-//    a ManualClock.)
+//    engine drains its whole backlog inside each loop iteration, so
+//    real-clock lag never spans an OPEN check; its admission path is
+//    covered deterministically in test_net.cpp under a ManualClock.)
 //
 // Results go to net.json (a CI artifact).
 #include <algorithm>
@@ -41,7 +41,6 @@
 #include "net/wire_client.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "train/projection.hpp"
@@ -75,63 +74,39 @@ double percentile(std::vector<double> values, double p) {
 struct NetBackend {
   std::string name;
   std::size_t cores = 1;  // compute cores (event-loop thread not counted)
-  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;  // local only
-  std::unique_ptr<serve::Recognizer> recognizer;
-  serve::ShardedEngine* sharded = nullptr;  // owned by `recognizer`
+  std::unique_ptr<serve::ShardedEngine> engine;
 };
 
-std::map<std::string, BlockMask> prune(SpeechModel& model, double keep) {
+/// `shards` replicas of `threads_per_shard` cores each. A started engine
+/// is served by its pumps; an unstarted one by the server loop (drive
+/// mode).
+NetBackend build_backend(const char* name, std::size_t hidden,
+                         std::size_t shards, std::size_t threads_per_shard,
+                         double keep, bool start) {
+  NetBackend backend;
+  backend.name = name;
+  backend.cores = shards * threads_per_shard;
+  Rng rng(1234);
+  backend.model = std::make_unique<SpeechModel>(ModelConfig::scaled(hidden));
+  backend.model->init(rng);
   std::map<std::string, BlockMask> masks;
   ParamSet params;
-  model.register_params(params);
-  for (const std::string& name : model.weight_names()) {
-    Matrix& w = params.matrix(name);
+  backend.model->register_params(params);
+  for (const std::string& weight : backend.model->weight_names()) {
+    Matrix& w = params.matrix(weight);
     BlockMask mask = block_column_mask(w, 8, 4, keep);
     mask.apply(w);
-    masks.emplace(name, std::move(mask));
+    masks.emplace(weight, std::move(mask));
   }
-  return masks;
-}
-
-NetBackend build_local(std::size_t hidden, std::size_t threads, double keep) {
-  NetBackend backend;
-  backend.name = "local";
-  backend.cores = threads;
-  Rng rng(1234);
-  backend.model = std::make_unique<SpeechModel>(ModelConfig::scaled(hidden));
-  backend.model->init(rng);
-  const auto masks = prune(*backend.model, keep);
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  options.threads = threads;
-  if (threads > 1) backend.pool = std::make_unique<ThreadPool>(threads);
-  backend.compiled = std::make_unique<CompiledSpeechModel>(
-      *backend.model, masks, options, backend.pool.get());
-  backend.recognizer =
-      std::make_unique<serve::LocalRecognizer>(*backend.compiled);
-  return backend;
-}
-
-NetBackend build_sharded(std::size_t hidden, std::size_t shards,
-                         double keep) {
-  NetBackend backend;
-  backend.name = "sharded";
-  backend.cores = shards;  // threads_per_shard = 1: one pump core each
-  Rng rng(1234);
-  backend.model = std::make_unique<SpeechModel>(ModelConfig::scaled(hidden));
-  backend.model->init(rng);
-  const auto masks = prune(*backend.model, keep);
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
   serve::ShardConfig config;
   config.shards = shards;
-  auto engine = std::make_unique<serve::ShardedEngine>(*backend.model, masks,
-                                                       options, config);
-  engine->start();
-  backend.sharded = engine.get();
-  backend.recognizer = std::move(engine);
+  config.threads_per_shard = threads_per_shard;
+  backend.engine = std::make_unique<serve::ShardedEngine>(*backend.model, masks,
+                                                          options, config);
+  if (start) backend.engine->start();
   return backend;
 }
 
@@ -293,12 +268,15 @@ int main(int argc, char** argv) {
                "first-partial p99 ms", "agg xRT", "conns/core"});
 
   for (const bool use_sharded : {false, true}) {
-    NetBackend backend = use_sharded
-                             ? build_sharded(hidden, shards, keep)
-                             : build_local(hidden, threads, keep);
+    NetBackend backend;
+    if (use_sharded) {
+      backend = build_backend("sharded", hidden, shards, 1, keep, true);
+    } else {
+      backend = build_backend("local", hidden, 1, threads, keep, false);
+    }
     net::ServerConfig server_config;
-    server_config.drive_recognizer = backend.sharded == nullptr;
-    net::RecognizerServer server(*backend.recognizer, server_config);
+    server_config.drive_recognizer = !backend.engine->running();
+    net::RecognizerServer server(*backend.engine, server_config);
     server.start();
 
     // Warm caches and the accept path before anything is timed.
@@ -365,7 +343,7 @@ int main(int argc, char** argv) {
     // OPEN-time rejection at >2x capacity (pump-mode deployment only;
     // see file comment for why drive mode cannot hold real-clock lag
     // across an OPEN check).
-    if (backend.sharded != nullptr) {
+    if (backend.engine->running()) {
       constexpr double kLoadFactor = 2.5;
       const double window = quick ? 0.4 : 1.0;
       const std::size_t flood_streams = std::max<std::size_t>(
@@ -383,8 +361,8 @@ int main(int argc, char** argv) {
       for (int spin = 0; spin < 500; ++spin) {
         bool idle = server.connection_count() == 0;
         for (std::size_t s = 0;
-             idle && s < backend.sharded->shard_count(); ++s) {
-          idle = backend.sharded->load(s) == 0;
+             idle && s < backend.engine->shard_count(); ++s) {
+          idle = backend.engine->load(s) == 0;
         }
         if (idle) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -408,8 +386,8 @@ int main(int argc, char** argv) {
       // failed flood cannot hang the bench.
       for (int spin = 0; spin < 500; ++spin) {
         double min_lag = std::numeric_limits<double>::infinity();
-        for (std::size_t s = 0; s < backend.sharded->shard_count(); ++s) {
-          min_lag = std::min(min_lag, backend.sharded->shard_lag_seconds(s));
+        for (std::size_t s = 0; s < backend.engine->shard_count(); ++s) {
+          min_lag = std::min(min_lag, backend.engine->shard_lag_seconds(s));
         }
         if (min_lag > 2.0 * budget) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -453,7 +431,7 @@ int main(int argc, char** argv) {
     }
 
     server.stop();
-    if (backend.sharded != nullptr) backend.sharded->stop();
+    backend.engine->stop();
   }
 
   std::printf("%s\n", table.to_string().c_str());

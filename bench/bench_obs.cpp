@@ -4,7 +4,8 @@
 // Two measurements:
 //
 //  1. Frame-path overhead (the headline): the bench_streaming serving
-//     loop — N concurrent streams through a LocalRecognizer — run twice
+//     loop — N concurrent streams through a one-shard ShardedEngine the
+//     bench steps itself — run twice
 //     per repetition, once with EngineConfig::telemetry unset and once
 //     wired to a live Telemetry (counters, histograms, RT_SPAN timers
 //     all active). The arms run back-to-back within each repetition
@@ -33,8 +34,7 @@
 #include "obs/trace.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "runtime/inference_engine.hpp"
-#include "serve/local_recognizer.hpp"
+#include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "train/projection.hpp"
 #include "util/cli.hpp"
@@ -48,7 +48,8 @@ namespace {
 
 struct BenchSetup {
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;
+  std::map<std::string, BlockMask> masks;
+  CompilerOptions options;
 };
 
 BenchSetup build_model(std::size_t hidden, double keep_fraction) {
@@ -56,19 +57,15 @@ BenchSetup build_model(std::size_t hidden, double keep_fraction) {
   Rng rng(1234);
   setup.model = std::make_unique<SpeechModel>(ModelConfig::scaled(hidden));
   setup.model->init(rng);
-  std::map<std::string, BlockMask> masks;
   ParamSet params;
   setup.model->register_params(params);
   for (const std::string& name : setup.model->weight_names()) {
     Matrix& w = params.matrix(name);
     BlockMask mask = block_column_mask(w, 8, 4, keep_fraction);
     mask.apply(w);
-    masks.emplace(name, std::move(mask));
+    setup.masks.emplace(name, std::move(mask));
   }
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  setup.compiled = std::make_unique<CompiledSpeechModel>(
-      *setup.model, masks, options, nullptr);
+  setup.options.format = SparseFormat::kBspc;
   return setup;
 }
 
@@ -80,22 +77,25 @@ std::vector<float> make_waveform(double seconds, std::uint64_t seed) {
 }
 
 /// One serving run (the bench_streaming frame path): all audio pushed up
-/// front, recognizer drained. `telemetry` null = the bare arm.
+/// front, engine drained. `telemetry` null = the bare arm.
 runtime::RuntimeStats run_serving(const BenchSetup& setup,
                                   std::size_t streams, double seconds,
                                   obs::Telemetry* telemetry) {
-  runtime::EngineConfig engine_config;
-  engine_config.telemetry = telemetry;
-  serve::LocalRecognizer recognizer(*setup.compiled, engine_config);
-  std::vector<serve::StreamHandle> handles;
+  serve::ShardConfig config;
+  config.shards = 1;
+  // Every utterance is queued before the first round: one audio and one
+  // finish command per stream.
+  config.queue_capacity = 2 * streams;
+  config.engine.telemetry = telemetry;
+  serve::ShardedEngine engine(*setup.model, setup.masks, setup.options, config);
   for (std::size_t s = 0; s < streams; ++s) {
-    handles.push_back(recognizer.open_stream());
+    const serve::StreamHandle h = engine.open_stream();
     const std::vector<float> wave = make_waveform(seconds, 9000 + s);
-    (void)recognizer.submit_audio(handles[s], wave);
-    (void)recognizer.finish_stream(handles[s]);
+    (void)engine.submit_audio(h, wave);
+    (void)engine.finish_stream(h);
   }
-  recognizer.drain();
-  return recognizer.engine().stats();
+  engine.drain();
+  return engine.shard_stats(0);
 }
 
 [[nodiscard]] double now_seconds() {

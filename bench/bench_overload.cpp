@@ -1,24 +1,23 @@
 // Overload benchmark: tail lag and deadline-miss rate per scheduler
 // policy when offered load exceeds engine capacity.
 //
-// The serving question RTMobile's "beyond real time" claim turns into:
-// when more audio arrives per second than the engine can process, which
-// streams fall behind and by how much? This bench drives a
-// LocalRecognizer with synthetic open-loop arrivals — every stream
-// pushes 10 ms audio chunks on its own clock, independent of how fast
-// the engine drains them — at 1x to 4x of measured capacity, under each
-// scheduler/overload policy, and reports the per-step worst-stream lag
-// distribution (p50/p95/p99) plus the deadline-miss rate and shed-frame
-// counts.
+// The serving question RTMobile's "beyond real time" claim turns into: when
+// more audio arrives per second than the engine can process, which streams fall
+// behind and by how much? This bench drives a one-shard, caller-stepped
+// ShardedEngine with synthetic open-loop arrivals — every stream pushes 10 ms
+// audio chunks on its own clock, independent of how fast the engine drains them
+// — at 1x to 4x of measured capacity, under each scheduler/overload policy, and
+// reports the per-step worst-stream lag distribution (p50/p95/p99) plus the
+// deadline-miss rate and shed-frame counts.
 //
-// Time is virtual (runtime::ManualClock): each engine step advances the
-// clock by the step's measured wall time, and idle gaps jump straight
-// to the next arrival. Compute cost is real, but arrival pacing is
-// exact and idle time costs nothing, so a multi-minute overload
-// scenario runs in seconds of wall time. Offered load is
-// load_factor x capacity: the stream count is capped (--max-streams)
-// and each stream's arrival clock is sped up to make up the remainder,
-// so "2x" always means twice the audio per second the engine sustains.
+// Time is virtual (runtime::ManualClock): each round (queued audio ingested,
+// then one engine step) advances the clock by its measured wall time, and idle
+// gaps jump straight to the next arrival. Compute cost is real, but arrival
+// pacing is exact and idle time costs nothing, so a multi-minute overload
+// scenario runs in seconds of wall time. Offered load is load_factor x
+// capacity: the stream count is capped (--max-streams) and each stream's
+// arrival clock is sped up to make up the remainder, so "2x" always means twice
+// the audio per second the engine sustains.
 //
 // Expected shape (the acceptance evidence for deadline-aware
 // scheduling): round-robin under overload lets lag grow without bound
@@ -41,11 +40,9 @@
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
 #include "runtime/clock.hpp"
-#include "runtime/inference_engine.hpp"
 #include "runtime/scheduler.hpp"
-#include "serve/local_recognizer.hpp"
+#include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
-#include "speech/streaming_mfcc.hpp"
 #include "train/projection.hpp"
 #include "util/cli.hpp"
 #include "util/report.hpp"
@@ -57,9 +54,9 @@ namespace rtmobile {
 namespace {
 
 struct BenchSetup {
-  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;
+  std::map<std::string, BlockMask> masks;
+  CompilerOptions options;
 };
 
 BenchSetup build_model(std::size_t hidden, std::size_t threads,
@@ -70,23 +67,34 @@ BenchSetup build_model(std::size_t hidden, std::size_t threads,
   setup.model = std::make_unique<SpeechModel>(config);
   setup.model->init(rng);
 
-  std::map<std::string, BlockMask> masks;
   ParamSet params;
   setup.model->register_params(params);
   for (const std::string& name : setup.model->weight_names()) {
     Matrix& w = params.matrix(name);
     BlockMask mask = block_column_mask(w, 8, 4, keep_fraction);
     mask.apply(w);
-    masks.emplace(name, std::move(mask));
+    setup.masks.emplace(name, std::move(mask));
   }
 
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  options.threads = threads;
-  if (threads > 1) setup.pool = std::make_unique<ThreadPool>(threads);
-  setup.compiled = std::make_unique<CompiledSpeechModel>(
-      *setup.model, masks, options, setup.pool.get());
+  setup.options.format = SparseFormat::kBspc;
+  setup.options.threads = threads;
   return setup;
+}
+
+/// A one-shard engine the bench steps itself (never started): every
+/// round runs on this thread, against the virtual clock.
+std::unique_ptr<serve::ShardedEngine> make_engine(
+    const BenchSetup& setup, runtime::EngineConfig engine_config) {
+  serve::ShardConfig config;
+  config.shards = 1;
+  config.threads_per_shard = setup.options.threads;
+  // A round serves max_batch frames of the offered load, so about
+  // max_batch x load-factor chunks arrive between two rounds; the ring
+  // holds far more, so no submission is refused.
+  config.queue_capacity = 8192;
+  config.engine = engine_config;
+  return std::make_unique<serve::ShardedEngine>(*setup.model, setup.masks,
+                                                setup.options, config);
 }
 
 std::vector<float> make_waveform(double seconds, std::uint64_t seed) {
@@ -115,22 +123,24 @@ constexpr PolicyScenario kScenarios[] = {
 };
 
 /// Closed-loop calibration: how many 1x real-time streams the engine
-/// sustains (its aggregate real-time factor on a saturated batch —
-/// calibrate with the same stream count the overload runs use so the
-/// batching efficiency matches).
+/// sustains — audio seconds a saturated batch serves per wall second of
+/// rounds, front end (MFCC at ingest) included, the same cost the
+/// virtual clock charges per round. Calibrate with the same stream count
+/// the overload runs use so the batching efficiency matches.
 double measure_capacity(const BenchSetup& setup, std::size_t streams,
                         double seconds) {
-  serve::LocalRecognizer recognizer(*setup.compiled);
+  const auto engine = make_engine(setup, runtime::EngineConfig{});
   serve::StreamConfig config;
   config.decode.mode = speech::DecodeMode::kNone;
   for (std::size_t s = 0; s < streams; ++s) {
-    const serve::StreamHandle h = recognizer.open_stream(config);
+    const serve::StreamHandle h = engine->open_stream(config);
     const std::vector<float> wave = make_waveform(seconds, 4000 + s);
-    (void)recognizer.submit_audio(h, wave);
-    (void)recognizer.finish_stream(h);
+    (void)engine->submit_audio(h, wave);
+    (void)engine->finish_stream(h);
   }
-  recognizer.drain();
-  return recognizer.engine().stats().real_time_factor();
+  WallTimer rounds;
+  engine->drain();
+  return static_cast<double>(streams) * seconds / (rounds.elapsed_us() * 1e-6);
 }
 
 struct OverloadResult {
@@ -160,7 +170,7 @@ OverloadResult run_overload(const BenchSetup& setup,
   // Bounded-memory recorders: an overload soak records one lag sample
   // per 10 ms step — the capped mode is what keeps hours-long runs flat.
   engine_config.stats_sample_cap = 8192;
-  serve::LocalRecognizer recognizer(*setup.compiled, engine_config);
+  const auto engine = make_engine(setup, engine_config);
 
   serve::StreamConfig stream_config;
   stream_config.decode.mode = speech::DecodeMode::kNone;
@@ -180,7 +190,7 @@ OverloadResult run_overload(const BenchSetup& setup,
   };
   std::vector<StreamState> arrivals(streams);
   for (std::size_t s = 0; s < streams; ++s) {
-    arrivals[s].handle = recognizer.open_stream(stream_config);
+    arrivals[s].handle = engine->open_stream(stream_config);
     arrivals[s].rng = Rng(7000 + s);
     arrivals[s].chunks_left = chunks_per_stream;
     // Stagger starts across one chunk interval so arrivals interleave
@@ -193,9 +203,9 @@ OverloadResult run_overload(const BenchSetup& setup,
   OverloadResult result;
   std::vector<float> chunk(kChunkSamples);
   std::vector<serve::RecognizerEvent> events;
-  const auto count_control_events = [&result, &events, &recognizer] {
+  const auto count_control_events = [&result, &events, &engine] {
     events.clear();
-    recognizer.poll_events(events);
+    engine->poll_events(events);
     for (const serve::RecognizerEvent& event : events) {
       if (event.event.kind == speech::StreamEventKind::kDegraded) {
         ++result.degraded_events;
@@ -211,10 +221,10 @@ OverloadResult run_overload(const BenchSetup& setup,
     for (StreamState& st : arrivals) {
       while (st.chunks_left > 0 && st.next_arrival_us <= clock.now_us()) {
         for (float& sample : chunk) sample = 0.1F * st.rng.normal();
-        (void)recognizer.submit_audio(st.handle, chunk);
+        (void)engine->submit_audio(st.handle, chunk);
         st.next_arrival_us += chunk_interval_us;
         if (--st.chunks_left == 0) {
-          (void)recognizer.finish_stream(st.handle);
+          (void)engine->finish_stream(st.handle);
         }
       }
       if (st.chunks_left > 0) {
@@ -224,7 +234,7 @@ OverloadResult run_overload(const BenchSetup& setup,
     }
 
     WallTimer step_timer;
-    const std::size_t advanced = recognizer.step();
+    const std::size_t advanced = engine->pump_shard(0);
     if (advanced > 0) {
       clock.advance_us(step_timer.elapsed_us());
     } else if (arrivals_left) {
@@ -236,7 +246,7 @@ OverloadResult run_overload(const BenchSetup& setup,
     if (++rounds % 64 == 0) count_control_events();
   }
   count_control_events();
-  result.stats = recognizer.engine().stats();
+  result.stats = engine->shard_stats(0);
   return result;
 }
 
@@ -285,8 +295,8 @@ int main(int argc, char** argv) {
 
   BenchSetup setup = build_model(hidden, threads, keep);
 
-  // Capacity: the aggregate real-time factor of a saturated closed-loop
-  // run = how many 1x streams the engine can serve in real time.
+  // Capacity: audio seconds a saturated closed-loop run serves per wall
+  // second = how many 1x streams the engine can serve in real time.
   const double capacity = measure_capacity(
       setup, /*streams=*/max_batch, /*seconds=*/quick ? 0.5 : 2.0);
   std::printf(

@@ -1,6 +1,6 @@
 // Streaming runtime benchmark: aggregate throughput and step latency of
 // the batched serving path as concurrent streams scale 1 -> 8, measured
-// through the unified Recognizer surface (LocalRecognizer).
+// through the serving API on a one-shard, caller-driven ShardedEngine.
 //
 // Each configuration serves N independent audio streams through one
 // BSP-pruned compiled model. All audio is pushed up front and the
@@ -25,10 +25,8 @@
 #include "hw/thread_pool.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "runtime/inference_engine.hpp"
-#include "serve/local_recognizer.hpp"
+#include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
-#include "speech/streaming_mfcc.hpp"
 #include "train/projection.hpp"
 #include "util/cli.hpp"
 #include "util/report.hpp"
@@ -40,9 +38,9 @@ namespace rtmobile {
 namespace {
 
 struct BenchSetup {
-  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;
+  std::map<std::string, BlockMask> masks;
+  CompilerOptions options;
 };
 
 BenchSetup build_model(std::size_t hidden, std::size_t threads,
@@ -54,23 +52,18 @@ BenchSetup build_model(std::size_t hidden, std::size_t threads,
   setup.model = std::make_unique<SpeechModel>(config);
   setup.model->init(rng);
 
-  std::map<std::string, BlockMask> masks;
   ParamSet params;
   setup.model->register_params(params);
   for (const std::string& name : setup.model->weight_names()) {
     Matrix& w = params.matrix(name);
     BlockMask mask = block_column_mask(w, 8, 4, keep_fraction);
     mask.apply(w);
-    masks.emplace(name, std::move(mask));
+    setup.masks.emplace(name, std::move(mask));
   }
 
-  CompilerOptions options;
-  options.format = SparseFormat::kBspc;
-  options.threads = threads;
-  options.precision = precision;
-  if (threads > 1) setup.pool = std::make_unique<ThreadPool>(threads);
-  setup.compiled = std::make_unique<CompiledSpeechModel>(
-      *setup.model, masks, options, setup.pool.get());
+  setup.options.format = SparseFormat::kBspc;
+  setup.options.threads = threads;
+  setup.options.precision = precision;
   return setup;
 }
 
@@ -81,23 +74,28 @@ std::vector<float> make_waveform(double seconds, std::uint64_t seed) {
   return wave;
 }
 
-/// Serves `streams` identical-length waveforms through a LocalRecognizer
-/// (decode mode per `mode`) and returns the engine's stats.
-runtime::RuntimeStats run_serving(const BenchSetup& setup,
-                                  std::size_t streams, double seconds,
-                                  speech::DecodeMode mode) {
-  serve::LocalRecognizer recognizer(*setup.compiled);
+/// Serves `streams` identical-length waveforms through a one-shard
+/// engine (decode mode per `mode`) and returns its stats.
+serve::GlobalStats run_serving(const BenchSetup& setup, std::size_t streams,
+                               double seconds, speech::DecodeMode mode) {
+  serve::ShardConfig shard_config;
+  shard_config.shards = 1;
+  shard_config.threads_per_shard = setup.options.threads;
+  // Every utterance is queued before the first round: one audio and one
+  // finish command per stream.
+  shard_config.queue_capacity = 2 * streams;
+  serve::ShardedEngine engine(*setup.model, setup.masks, setup.options,
+                              shard_config);
   serve::StreamConfig config;
   config.decode.mode = mode;
-  std::vector<serve::StreamHandle> handles;
   for (std::size_t s = 0; s < streams; ++s) {
-    handles.push_back(recognizer.open_stream(config));
+    const serve::StreamHandle h = engine.open_stream(config);
     const std::vector<float> wave = make_waveform(seconds, 9000 + s);
-    (void)recognizer.submit_audio(handles[s], wave);
-    (void)recognizer.finish_stream(handles[s]);
+    (void)engine.submit_audio(h, wave);
+    (void)engine.finish_stream(h);
   }
-  recognizer.drain();
-  return recognizer.engine().stats();
+  engine.drain();
+  return engine.stats();
 }
 
 }  // namespace
@@ -148,9 +146,6 @@ int main(int argc, char** argv) {
 
   BenchSetup setup = build_model(hidden, threads, keep, precision);
 
-  speech::MfccConfig mfcc;
-  mfcc.cepstral_mean_norm = false;
-
   JsonReport report;
   Table table({"streams", "frames", "mean batch", "p50 us", "p95 us",
                "frames/s", "RTF", "speedup", "dec fps", "dec ovh%"});
@@ -162,9 +157,10 @@ int main(int argc, char** argv) {
   double base_fps = 0.0;
   for (const std::size_t streams : stream_counts) {
     const runtime::RuntimeStats stats =
-        run_serving(setup, streams, seconds, speech::DecodeMode::kNone);
+        run_serving(setup, streams, seconds, speech::DecodeMode::kNone).merged;
     const runtime::RuntimeStats decoded =
-        run_serving(setup, streams, seconds, speech::DecodeMode::kGreedy);
+        run_serving(setup, streams, seconds, speech::DecodeMode::kGreedy)
+            .merged;
 
     const double fps = stats.frames_per_second();
     const double decode_fps = decoded.frames_per_second();
@@ -216,22 +212,15 @@ int main(int argc, char** argv) {
   for (const WeightPrecision precision :
        {WeightPrecision::kFp32, WeightPrecision::kFp16,
         WeightPrecision::kInt8PerTensor, WeightPrecision::kInt8PerRow}) {
-    BenchSetup swept = build_model(hidden, threads, keep, precision);
-    runtime::InferenceEngine engine(*swept.compiled);
-    for (std::size_t s = 0; s < max_streams; ++s) {
-      runtime::StreamingSession& session = engine.create_session(mfcc);
-      const std::vector<float> wave = make_waveform(seconds, 9000 + s);
-      session.push_audio(wave);
-      session.finish();
-    }
-    engine.drain();
-    const runtime::RuntimeStats& stats = engine.stats();
+    const serve::GlobalStats served =
+        run_serving(build_model(hidden, threads, keep, precision),
+                    max_streams, seconds, speech::DecodeMode::kNone);
+    const runtime::RuntimeStats& stats = served.merged;
     const double fps = stats.frames_per_second();
     if (precision == WeightPrecision::kFp32) fp32_fps = fps;
     precision_table.add_row(
         {to_string(precision),
-         format_double(static_cast<double>(
-                           swept.compiled->total_memory_bytes()) /
+         format_double(static_cast<double>(served.weight_bytes) /
                            (1024.0 * 1024.0),
                        2),
          format_double(fps, 0), format_double(stats.real_time_factor(), 1),
@@ -241,8 +230,7 @@ int main(int argc, char** argv) {
     record.set("section", "precision");
     record.set("precision", to_string(precision));
     record.set("streams", static_cast<std::int64_t>(max_streams));
-    record.set("weight_bytes", static_cast<std::int64_t>(
-                                   swept.compiled->total_memory_bytes()));
+    record.set("weight_bytes", static_cast<std::int64_t>(served.weight_bytes));
     record.set("frames_per_sec", fps);
     record.set("rtf", stats.real_time_factor());
     report.add(std::move(record));

@@ -1,15 +1,16 @@
-// Simulated sharded recognition service on the unified Recognizer API.
+// Simulated sharded recognition service on the serve::ShardedEngine API.
 //
 // N clients speak synthesized phone sequences. Each client opens a
-// stream against the ShardedEngine — the same serve::Recognizer surface
-// LocalRecognizer speaks, so the submission loop below is byte-for-byte
-// the client code a single-engine deployment would run. The router
-// places each stream (round-robin, least-loaded, or session-hash), then
-// every client delivers audio in 100 ms chunks from its own producer
-// thread through the shard's lock-free-ish MPSC ingress — no client
-// ever touches an engine lock. One pump thread per shard applies
-// arrivals, steps its replica, and flushes each stream's decoder events
-// into its handle's mailbox; a consumer thread concurrently drains all
+// stream against a started ShardedEngine — the same stream API a
+// one-shard, caller-driven deployment (streaming_server.cpp) serves, so
+// the submission loop below is the client code a single-engine
+// deployment would run. The router places each stream (round-robin,
+// least-loaded, or session-hash), then every client delivers audio in
+// 100 ms chunks from its own producer thread through the shard's
+// lock-free-ish MPSC ingress — no client ever touches an engine lock.
+// One pump thread per shard applies arrivals, steps its replica, and
+// flushes each stream's decoder events into its handle's mailbox; a
+// consumer thread concurrently drains all
 // streams' hypothesis events through the drain-all poll. When all
 // clients hang up, the engine stops gracefully, finals (bit-identical
 // to batch greedy_decode) print per client, and the per-shard plus

@@ -1,15 +1,15 @@
-// Simulated streaming recognition server on the unified Recognizer API.
+// Simulated streaming recognition server on the serve::ShardedEngine API.
 //
-// N clients speak synthesized phone sequences; their audio arrives in
-// 100 ms chunks, interleaved across clients the way packets arrive at a
-// real service. The server is a LocalRecognizer — one InferenceEngine
-// behind the same serve::Recognizer surface the sharded fleet speaks, so
-// this client loop runs unmodified against either. After every arrival
-// round the recognizer drains and hypothesis events are polled: each
-// stream's partial hypotheses print as they evolve mid-utterance
-// (stable prefix | unstable tail), and the final hypotheses — which are
-// bit-identical to batch greedy_decode of the stream's logits — print
-// with the serving stats at the end.
+// N clients speak synthesized phone sequences; their audio arrives in 100 ms
+// chunks, interleaved across clients the way packets arrive at a real service.
+// The server is a one-shard serve::ShardedEngine that this loop steps itself
+// (never started) — the same stream API a started multi-shard fleet serves, so
+// this client loop runs unmodified against either. After every arrival round
+// the engine drains and hypothesis events are polled: each stream's partial
+// hypotheses print as they evolve mid-utterance (stable prefix | unstable
+// tail), and the final hypotheses — which are bit-identical to batch
+// greedy_decode of the stream's logits — print with the serving stats at the
+// end.
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -17,11 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "compiler/gru_executor.hpp"
 #include "hw/thread_pool.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "serve/local_recognizer.hpp"
+#include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "speech/phones.hpp"
 #include "speech/synth.hpp"
@@ -33,15 +32,15 @@
 namespace rtmobile {
 namespace {
 
-/// An untrained but BSP-pruned compiled model: the serving plumbing is
-/// what this example demonstrates, not recognition accuracy.
+/// An untrained but BSP-pruned model on a one-shard engine: the serving
+/// plumbing is what this example demonstrates, not recognition accuracy.
 struct Server {
-  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;
+  std::unique_ptr<serve::ShardedEngine> engine;
 };
 
-Server build_server(std::size_t hidden, std::size_t threads) {
+Server build_server(std::size_t hidden, std::size_t threads,
+                    std::size_t clients) {
   Server server;
   Rng rng(2024);
   server.model = std::make_unique<SpeechModel>(ModelConfig::scaled(hidden));
@@ -59,10 +58,14 @@ Server build_server(std::size_t hidden, std::size_t threads) {
 
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
-  options.threads = threads;
-  if (threads > 1) server.pool = std::make_unique<ThreadPool>(threads);
-  server.compiled = std::make_unique<CompiledSpeechModel>(
-      *server.model, masks, options, server.pool.get());
+  serve::ShardConfig config;
+  config.shards = 1;
+  config.threads_per_shard = threads;
+  // An arrival round queues at most one chunk and one finish per client
+  // before the engine drains them.
+  config.queue_capacity = 2 * clients;
+  server.engine = std::make_unique<serve::ShardedEngine>(*server.model, masks,
+                                                         options, config);
   return server;
 }
 
@@ -121,8 +124,8 @@ int main(int argc, char** argv) {
 
   std::printf("streaming_server: %zu clients, hidden=%zu, threads=%zu\n\n",
               clients, hidden, threads);
-  Server server = build_server(hidden, threads);
-  serve::LocalRecognizer recognizer(*server.compiled);
+  Server server = build_server(hidden, threads, clients);
+  serve::ShardedEngine& recognizer = *server.engine;
 
   Rng rng(7);
   std::vector<std::vector<float>> audio;
@@ -173,7 +176,7 @@ int main(int argc, char** argv) {
   recognizer.drain();
 
   std::printf("\nfinal hypotheses:\n");
-  const speech::MfccConfig& mfcc = recognizer.engine().config().mfcc;
+  const speech::MfccConfig& mfcc = recognizer.config().engine.mfcc;
   const double seconds_per_frame =
       static_cast<double>(mfcc.frame_shift) / mfcc.sample_rate_hz;
   for (std::size_t c = 0; c < clients; ++c) {

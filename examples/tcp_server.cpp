@@ -1,5 +1,7 @@
 // Real TCP recognition server: the epoll front (net::RecognizerServer)
-// over either Recognizer implementation.
+// over a serve::ShardedEngine served either way — `local` is one
+// caller-driven shard the server loop steps itself (drive mode),
+// `sharded` is a started fleet whose pump threads serve.
 //
 //   tcp_server --port 7070 --backend local
 //   tcp_server --port 7070 --backend sharded --shards 2
@@ -18,12 +20,10 @@
 #include <vector>
 
 #include "compiler/gru_executor.hpp"
-#include "hw/thread_pool.hpp"
 #include "net/recognizer_server.hpp"
 #include "obs/telemetry.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "train/projection.hpp"
@@ -35,9 +35,7 @@ namespace {
 
 struct Backend {
   std::unique_ptr<SpeechModel> model;
-  std::unique_ptr<CompiledSpeechModel> compiled;  // local only
-  std::unique_ptr<serve::Recognizer> recognizer;
-  serve::ShardedEngine* sharded = nullptr;  // owned by `recognizer`
+  std::unique_ptr<serve::ShardedEngine> engine;
 };
 
 /// An untrained BSP-pruned model: this example demonstrates transport,
@@ -60,23 +58,14 @@ Backend build_backend(const std::string& kind, std::size_t hidden,
   CompilerOptions options;
   options.format = SparseFormat::kBspc;
 
-  if (kind == "sharded") {
-    serve::ShardConfig config;
-    config.shards = shards;
-    config.engine.telemetry = telemetry;
-    auto engine = std::make_unique<serve::ShardedEngine>(
-        *backend.model, masks, options, config);
-    engine->start();  // pump threads serve; the epoll loop only waits
-    backend.sharded = engine.get();
-    backend.recognizer = std::move(engine);
-  } else {
-    backend.compiled = std::make_unique<CompiledSpeechModel>(
-        *backend.model, masks, options, nullptr);
-    runtime::EngineConfig engine_config;
-    engine_config.telemetry = telemetry;
-    backend.recognizer = std::make_unique<serve::LocalRecognizer>(
-        *backend.compiled, engine_config);
-  }
+  serve::ShardConfig config;
+  config.shards = kind == "sharded" ? shards : 1;
+  config.engine.telemetry = telemetry;
+  backend.engine = std::make_unique<serve::ShardedEngine>(*backend.model, masks,
+                                                          options, config);
+  // Sharded: pump threads serve and the epoll loop only waits. Local:
+  // never started, so the epoll loop steps the one shard itself.
+  if (kind == "sharded") backend.engine->start();
   return backend;
 }
 
@@ -88,8 +77,9 @@ int main(int argc, char** argv) {
 
   CliParser cli;
   cli.add_flag("port", "0", "TCP port to bind (0 = ephemeral, printed)");
-  cli.add_flag("backend", "local", "recognizer behind the front: "
-                                   "local | sharded");
+  cli.add_flag("backend", "local",
+               "how the engine is served: local (one shard the server "
+               "loop steps) | sharded (started pump threads)");
   cli.add_flag("shards", "2", "engine replicas (backend = sharded)");
   cli.add_flag("hidden", "64", "GRU hidden size of the served model");
   cli.add_flag("max-connections", "0",
@@ -120,12 +110,12 @@ int main(int argc, char** argv) {
       build_backend(backend_kind, hidden, shards, telemetry.get());
   net::ServerConfig config;
   config.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  config.drive_recognizer = backend.sharded == nullptr;
+  config.drive_recognizer = !backend.engine->running();
   config.telemetry = telemetry.get();
   if (metrics_port >= 0) {
     config.metrics_port = static_cast<std::uint16_t>(metrics_port);
   }
-  net::RecognizerServer server(*backend.recognizer, config);
+  net::RecognizerServer server(*backend.engine, config);
   server.start();
   std::printf("tcp_server: backend=%s hidden=%zu listening on 127.0.0.1:%u\n",
               backend_kind.c_str(), hidden, server.port());
@@ -144,9 +134,9 @@ int main(int argc, char** argv) {
     }
   }
   server.stop();
-  if (backend.sharded != nullptr) backend.sharded->stop();
+  backend.engine->stop();
 
-  const serve::GlobalStats stats = backend.recognizer->stats();
+  const serve::GlobalStats stats = backend.engine->stats();
   std::printf(
       "tcp_server: served %llu connections, %zu frames in %zu steps "
       "(%.0f frames/s)\n",

@@ -74,9 +74,14 @@ void ThreadPool::drain_current_job() {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (!error_) error_ = caught;
     }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // seq_cst on both sides of the sleep handshake (this decrement and
+    // flag read; the caller's flag store and counter read): with weaker
+    // orders the caller's store can still sit in its store buffer when
+    // it reads remaining_, both sides miss each other, and the caller
+    // sleeps forever.
+    if (remaining_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       // Last task of the job: wake the caller if it gave up spinning.
-      if (caller_sleeping_.load(std::memory_order_acquire)) {
+      if (caller_sleeping_.load(std::memory_order_seq_cst)) {
         const std::lock_guard<std::mutex> lock(mutex_);
         job_done_.notify_all();
       }
@@ -99,16 +104,27 @@ void ThreadPool::worker_loop() {
     }
     if (!have_work) {
       std::unique_lock<std::mutex> lock(mutex_);
-      sleepers_.fetch_add(1, std::memory_order_acq_rel);
+      // seq_cst pairs with run_all's publish: either it sees this sleeper
+      // and notifies, or this predicate sees its new generation.
+      sleepers_.fetch_add(1, std::memory_order_seq_cst);
       work_ready_.wait(lock, [this, seen] {
         return shutting_down_.load(std::memory_order_acquire) ||
-               generation_.load(std::memory_order_acquire) != seen;
+               generation_.load(std::memory_order_seq_cst) != seen;
       });
       sleepers_.fetch_sub(1, std::memory_order_acq_rel);
       if (shutting_down_.load(std::memory_order_acquire)) return;
     }
     seen = generation_.load(std::memory_order_acquire);
-    drain_current_job();
+    if ((seen & 1U) == 0) continue;  // a job closed; wait for the next one
+    // Announce, then re-check that the job seen is still open. The caller
+    // closes a job before it waits for active_ to drain, so a worker that
+    // passes this check keeps the job's state alive until it leaves, and
+    // one that arrives later sees the close and never touches it.
+    active_.fetch_add(1, std::memory_order_seq_cst);
+    if (generation_.load(std::memory_order_seq_cst) == seen) {
+      drain_current_job();
+    }
+    active_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -125,8 +141,8 @@ void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
   next_.store(0, std::memory_order_relaxed);
   remaining_.store(tasks.size(), std::memory_order_relaxed);
   caller_sleeping_.store(false, std::memory_order_relaxed);
-  generation_.fetch_add(1, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_acquire) > 0) {
+  generation_.fetch_add(1, std::memory_order_seq_cst);  // odd: job open
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     const std::lock_guard<std::mutex> lock(mutex_);
     work_ready_.notify_all();
   }
@@ -141,11 +157,18 @@ void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
   }
   if (remaining_.load(std::memory_order_acquire) != 0) {
     std::unique_lock<std::mutex> lock(mutex_);
-    caller_sleeping_.store(true, std::memory_order_release);
+    caller_sleeping_.store(true, std::memory_order_seq_cst);
     job_done_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
+      return remaining_.load(std::memory_order_seq_cst) == 0;
     });
     caller_sleeping_.store(false, std::memory_order_release);
+  }
+  // Close the job, then wait out workers still inside it (every task is
+  // claimed, so they only have to notice and leave): until then `tasks`
+  // must stay alive and the next job's state must not be written.
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  while (active_.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
   }
   tasks_ = nullptr;
 

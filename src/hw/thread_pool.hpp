@@ -83,9 +83,13 @@ class ThreadPool {
   std::size_t configured_threads_ = 1;
 
   // Job publication protocol: the caller writes tasks_/task_count_/next_/
-  // remaining_, then bumps generation_ (release); workers acquire-read
-  // generation_ and then see a consistent job.
+  // remaining_, then bumps generation_ to odd (release); workers
+  // acquire-read generation_ and then see a consistent job. When every
+  // task is done the caller bumps generation_ to even (job closed) and
+  // waits for active_ — workers inside drain_current_job() — to reach
+  // zero before the job's state may die or be overwritten.
   std::atomic<std::uint64_t> generation_{0};
+  std::atomic<int> active_{0};
   std::atomic<bool> shutting_down_{false};
   const std::vector<std::function<void()>>* tasks_ = nullptr;
   std::atomic<std::size_t> task_count_{0};

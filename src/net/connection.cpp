@@ -10,6 +10,7 @@
 
 #include "fault/fault_injector.hpp"
 #include "obs/telemetry.hpp"
+#include "serve/sharded_engine.hpp"
 #include "util/logging.hpp"
 
 namespace rtmobile::net {
@@ -29,12 +30,12 @@ std::uint64_t steady_now_us() {
 }
 }  // namespace
 
-Connection::Connection(int fd, serve::Recognizer& recognizer,
+Connection::Connection(int fd, serve::ShardedEngine& engine,
                        std::size_t max_write_buffer,
                        obs::Telemetry* telemetry,
                        fault::FaultInjector* fault)
     : fd_(fd),
-      recognizer_(recognizer),
+      engine_(engine),
       max_write_buffer_(max_write_buffer),
       telemetry_(telemetry),
       fault_(fault),
@@ -44,12 +45,12 @@ Connection::Connection(int fd, serve::Recognizer& recognizer,
 Connection::~Connection() {
   // A connection dying with a live stream abandons it. close_stream may
   // itself backpressure; retry briefly, then leak the stream rather than
-  // block the event loop (the recognizer reclaims it at shutdown).
+  // block the event loop (the engine reclaims it at shutdown).
   if (has_stream_) {
     for (int attempt = 0; attempt < 64; ++attempt) {
       bool closed = false;
       try {
-        closed = recognizer_.close_stream(handle_);
+        closed = engine_.close_stream(handle_);
       } catch (const std::exception&) {
         closed = true;  // already dead server-side; nothing to release
       }
@@ -156,7 +157,7 @@ void Connection::handle_open(const Frame& frame) {
     return;
   }
   const serve::OpenResult result =
-      recognizer_.try_open_stream(request.to_stream_config());
+      engine_.try_open_stream(request.to_stream_config());
   switch (result.status) {
     case serve::OpenStatus::kOk:
       break;
@@ -196,7 +197,7 @@ void Connection::handle_audio(const Frame& frame) {
     return;
   }
   if (audio_scratch_.empty()) return;
-  if (!recognizer_.submit_audio(handle_, audio_scratch_)) {
+  if (!engine_.submit_audio(handle_, audio_scratch_)) {
     // Ingress backpressure: park the chunk and pause reads (TCP now
     // backpressures the client); pump_pending() retries.
     pending_audio_ = audio_scratch_;
@@ -211,7 +212,7 @@ void Connection::handle_finish() {
     return;
   }
   finish_sent_ = true;
-  if (!recognizer_.finish_stream(handle_)) {
+  if (!engine_.finish_stream(handle_)) {
     pending_finish_ = true;
     note_ingress_pause();
   }
@@ -227,19 +228,19 @@ void Connection::pump_pending() {
   bool progressed = false;
   try {
     if (!pending_audio_.empty() && has_stream_) {
-      if (recognizer_.submit_audio(handle_, pending_audio_)) {
+      if (engine_.submit_audio(handle_, pending_audio_)) {
         pending_audio_.clear();
         progressed = true;
       }
     }
     if (pending_audio_.empty() && pending_finish_ && has_stream_) {
-      if (recognizer_.finish_stream(handle_)) {
+      if (engine_.finish_stream(handle_)) {
         pending_finish_ = false;
         progressed = true;
       }
     }
     if (pending_close_ && has_stream_) {
-      if (recognizer_.close_stream(handle_)) {
+      if (engine_.close_stream(handle_)) {
         pending_close_ = false;
         has_stream_ = false;
         progressed = true;
@@ -286,7 +287,7 @@ void Connection::release_stream() {
   pending_audio_.clear();
   pending_finish_ = false;
   try {
-    if (recognizer_.close_stream(handle_)) {
+    if (engine_.close_stream(handle_)) {
       has_stream_ = false;
     } else {
       pending_close_ = true;  // retried by pump_pending

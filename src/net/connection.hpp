@@ -3,10 +3,10 @@
 // The connection owns the socket, the deframer, the outbound byte
 // buffer, and the per-stream protocol state machine; the server above it
 // owns only the epoll loop. All methods run on the server's event-loop
-// thread, so no locking — concurrency lives inside the Recognizer.
+// thread, so no locking — concurrency lives inside the engine.
 //
 // Backpressure, both directions:
-//  - ingress: when Recognizer::submit_audio / finish_stream /
+//  - ingress: when ShardedEngine::submit_audio / finish_stream /
 //    close_stream report backpressure (false), the rejected operation is
 //    parked and the connection pauses — it stops reading its socket and
 //    stops consuming buffered frames, so the kernel receive buffer fills
@@ -34,6 +34,10 @@ namespace rtmobile::fault {
 class FaultInjector;
 }
 
+namespace rtmobile::serve {
+class ShardedEngine;
+}
+
 namespace rtmobile::net {
 
 class Connection {
@@ -45,7 +49,7 @@ class Connection {
   /// socket-write spans. `fault` (nullable) arms the kConnRead /
   /// kConnWrite injection sites — a fired site behaves exactly like a
   /// peer reset at that point.
-  Connection(int fd, serve::Recognizer& recognizer,
+  Connection(int fd, serve::ShardedEngine& engine,
              std::size_t max_write_buffer,
              obs::Telemetry* telemetry = nullptr,
              fault::FaultInjector* fault = nullptr);
@@ -131,7 +135,7 @@ class Connection {
   void note_queueing();
 
   int fd_;
-  serve::Recognizer& recognizer_;
+  serve::ShardedEngine& engine_;
   const std::size_t max_write_buffer_;
   obs::Telemetry* telemetry_;  // non-owning; null = observability off
   fault::FaultInjector* fault_;  // non-owning; null = no injection

@@ -16,6 +16,7 @@
 #include <mutex>
 
 #include "obs/telemetry.hpp"
+#include "serve/sharded_engine.hpp"
 #include "util/check.hpp"
 
 namespace rtmobile::net {
@@ -70,9 +71,9 @@ int make_listener(const std::string& address, std::uint16_t port,
 }
 }  // namespace
 
-RecognizerServer::RecognizerServer(serve::Recognizer& recognizer,
+RecognizerServer::RecognizerServer(serve::ShardedEngine& engine,
                                    ServerConfig config)
-    : recognizer_(recognizer), config_(std::move(config)) {
+    : engine_(engine), config_(std::move(config)) {
   ignore_sigpipe();
   listen_fd_ = make_listener(config_.bind_address, config_.port,
                              config_.backlog, port_);
@@ -132,7 +133,7 @@ void RecognizerServer::start() {
     // "events pending" into an epoll wakeup so the loop sleeps properly.
     notifier_thread_ = std::thread([this] {
       while (running_.load(std::memory_order_relaxed)) {
-        if (recognizer_.wait_for_events(std::chrono::microseconds(100000))) {
+        if (engine_.wait_for_events(std::chrono::microseconds(100000))) {
           wake();
         }
       }
@@ -164,7 +165,7 @@ void RecognizerServer::accept_ready() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Entry entry;
     entry.conn = std::make_unique<Connection>(
-        fd, recognizer_, config_.max_write_buffer, config_.telemetry,
+        fd, engine_, config_.max_write_buffer, config_.telemetry,
         config_.fault);
     epoll_event ev{};
     // Edge-triggered for clients: each readiness transition is serviced
@@ -246,7 +247,7 @@ std::size_t RecognizerServer::run_once(std::chrono::milliseconds timeout) {
 }
 
 void RecognizerServer::pump() {
-  if (config_.drive_recognizer) recognizer_.drain();
+  if (config_.drive_recognizer) engine_.drain();
 
   // Map freshly opened streams so the event fan-out below can route.
   for (auto& [fd, entry] : connections_) {
@@ -258,7 +259,7 @@ void RecognizerServer::pump() {
   }
 
   event_scratch_.clear();
-  recognizer_.poll_events(event_scratch_);
+  engine_.poll_events(event_scratch_);
   for (serve::RecognizerEvent& tagged : event_scratch_) {
     const auto it = by_handle_.find(tagged.stream.id);
     // Events of a stream whose connection died are dropped on the

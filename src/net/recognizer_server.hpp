@@ -1,17 +1,18 @@
-// Async epoll TCP front for any serve::Recognizer.
+// Async epoll TCP front for a serve::ShardedEngine.
 //
 // One event-loop thread multiplexes every connection over edge-triggered
-// epoll: non-blocking accept, reads deframed into recognizer calls,
+// epoll: non-blocking accept, reads deframed into engine calls,
 // hypothesis events fanned back out through per-connection write buffers
-// (see connection.hpp for both backpressure directions). The recognizer
-// below is interchangeable — a LocalRecognizer served inline by the loop
-// (drive_recognizer = true, the loop calls drain() between socket work)
-// or a started ShardedEngine whose pump threads serve concurrently
+// (see connection.hpp for both backpressure directions). The engine
+// below is served one of two ways — an unstarted (caller-driven) engine
+// stepped inline by the loop (drive_recognizer = true, the loop calls
+// drain() between socket work: the single-engine deployment), or a
+// started engine whose pump threads serve concurrently
 // (drive_recognizer = false; a notifier thread parked in
-// Recognizer::wait_for_events tickles the loop's eventfd when pumps
+// ShardedEngine::wait_for_events tickles the loop's eventfd when pumps
 // publish events, so the loop never spin-polls).
 //
-// Two driving modes:
+// Two driving modes for the loop itself:
 //  - start()/stop(): a background thread owns the loop (production).
 //  - run_once(timeout): the caller is the loop (deterministic tests —
 //    no hidden thread, every iteration observable).
@@ -40,10 +41,10 @@ struct ServerConfig {
   int backlog = 128;
   /// Per-connection outbound cap — the slow-consumer drop threshold.
   std::size_t max_write_buffer = 4U << 20;
-  /// True: the loop calls Recognizer::drain() every iteration (the
-  /// caller-driven implementations — LocalRecognizer). False: serving
-  /// threads already pump (a started ShardedEngine); the loop only
-  /// waits on wait_for_events via the notifier thread.
+  /// True: the loop calls ShardedEngine::drain() every iteration (an
+  /// unstarted, caller-driven engine; no other thread may step it).
+  /// False: pump threads already serve (a started engine); the loop
+  /// only waits on wait_for_events via the notifier thread.
   bool drive_recognizer = true;
   /// Observability sink (nullable). When set, the server counts
   /// accepts/closes/bytes/drops into it AND opens a second listen port
@@ -72,7 +73,7 @@ class RecognizerServer {
  public:
   /// Binds and listens immediately (throws std::runtime_error on any
   /// socket failure) but serves nothing until start() or run_once().
-  RecognizerServer(serve::Recognizer& recognizer, ServerConfig config = {});
+  RecognizerServer(serve::ShardedEngine& engine, ServerConfig config = {});
   ~RecognizerServer();
 
   RecognizerServer(const RecognizerServer&) = delete;
@@ -91,7 +92,7 @@ class RecognizerServer {
   void stop();
 
   /// One event-loop iteration: wait up to `timeout` for socket/eventfd
-  /// activity, service it, drive the recognizer (drive mode), fan events
+  /// activity, service it, drive the engine (drive mode), fan events
   /// out, retry parked operations, reap dead connections. Returns the
   /// number of epoll events serviced. Only valid while no background
   /// thread runs.
@@ -135,7 +136,7 @@ class RecognizerServer {
   void respond_http(HttpClient& client);
   void flush_http(int fd, HttpClient& client);
 
-  serve::Recognizer& recognizer_;
+  serve::ShardedEngine& engine_;
   ServerConfig config_;
   int listen_fd_ = -1;
   int metrics_listen_fd_ = -1;  // -1 when no telemetry was wired

@@ -17,7 +17,7 @@
 //                               clients can dispatch without parsing, and
 //                               the payload carries the full event so
 //                               decode_event reconstructs it bit-identical
-//                               to a direct Recognizer::poll_events call
+//                               to a direct ShardedEngine::poll_events call
 //                      kError   u16 typed code + UTF-8 message, terminal
 //
 // All integers are little-endian; floats are IEEE-754 bit patterns in

@@ -1,9 +1,5 @@
 #include "serve/recognizer.hpp"
 
-#include <thread>
-
-#include "util/check.hpp"
-
 namespace rtmobile::serve {
 
 const char* to_string(OpenStatus status) {
@@ -16,20 +12,6 @@ const char* to_string(OpenStatus status) {
       return "backpressure";
   }
   return "unknown";
-}
-
-StreamHandle Recognizer::open_stream(const StreamConfig& config) {
-  for (;;) {
-    const OpenResult result = try_open_stream(config);
-    if (result.ok()) return result.handle;
-    // Admission refused for good: the throwing surface has no way to
-    // hand back a typed failure, so it throws; transports that want to
-    // refuse gracefully call try_open_stream themselves.
-    RT_CHECK(result.status == OpenStatus::kBackpressure,
-             "open_stream: projected lag exceeds the stream's deadline "
-             "budget (use try_open_stream for a typed refusal)");
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace rtmobile::serve

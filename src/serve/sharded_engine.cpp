@@ -171,6 +171,20 @@ std::vector<double> ShardedEngine::snapshot_lags_us() const {
   return lags;
 }
 
+StreamHandle ShardedEngine::open_stream(const StreamConfig& config) {
+  for (;;) {
+    const OpenResult result = try_open_stream(config);
+    if (result.ok()) return result.handle;
+    // Admission refused for good: the throwing surface has no way to
+    // hand back a typed failure, so it throws; transports that want to
+    // refuse gracefully call try_open_stream themselves.
+    RT_CHECK(result.status == OpenStatus::kBackpressure,
+             "open_stream: projected lag exceeds the stream's deadline "
+             "budget (use try_open_stream for a typed refusal)");
+    std::this_thread::yield();
+  }
+}
+
 StreamHandle ShardedEngine::open_stream(std::uint64_t session_key) {
   StreamConfig config;
   config.decode = speech::StreamingDecoderConfig::none();
@@ -285,8 +299,8 @@ OpenResult ShardedEngine::try_open_stream(const StreamConfig& config) {
     if (running()) {
       if (!enqueue_routed(e, std::move(open))) {
         // Ingress ring full: typed backpressure instead of spinning —
-        // the base-class open_stream wrapper retries, a transport maps
-        // it to a wire-level "try again" before any state leaks.
+        // the open_stream wrapper retries, a transport maps it to a
+        // wire-level "try again" before any state leaks.
         rollback();
         return OpenResult{StreamHandle{}, OpenStatus::kBackpressure};
       }
@@ -464,8 +478,8 @@ std::size_t ShardedEngine::poll_events(std::vector<RecognizerEvent>& out) {
   }
   // Slot order is not handle order once closed slots are reissued (a
   // reissued low slot carries a newer, higher id). Sort into ascending
-  // handle-id order — the deterministic drain-all contract shared with
-  // LocalRecognizer; stable, so each stream's own events stay ordered.
+  // handle-id order — the deterministic drain-all contract; stable, so
+  // each stream's own events stay ordered.
   std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(start),
                    out.end(),
                    [](const RecognizerEvent& a, const RecognizerEvent& b) {
@@ -671,6 +685,20 @@ void ShardedEngine::publish_backlog(Shard& shard) {
   }
 }
 
+ShardedEngine::RoundResult ShardedEngine::run_round(Shard& shard,
+                                                   bool drain_engine) {
+  RoundResult round;
+  round.work = adopt_inbox(shard);
+  round.work += apply_commands(shard);
+  round.frames = drain_engine ? shard.engine->drain() : shard.engine->step();
+  round.work += round.frames;
+  collect_events(shard);
+  publish_deadline(shard);
+  mark_done(shard);
+  publish_backlog(shard);
+  return round;
+}
+
 // ---------------------------------------------------------- threaded mode
 
 void ShardedEngine::pump_loop(std::size_t s) {
@@ -698,14 +726,7 @@ void ShardedEngine::pump_loop(std::size_t s) {
           throw fault::FaultInjected("injected pump fault");
         }
       }
-      std::size_t worked = adopt_inbox(shard);
-      worked += apply_commands(shard);
-      worked += shard.engine->step();
-      collect_events(shard);
-      publish_deadline(shard);
-      mark_done(shard);
-      publish_backlog(shard);
-      if (worked > 0) {
+      if (run_round(shard, /*drain_engine=*/false).work > 0) {
         idle_rounds = 0;
         continue;
       }
@@ -778,13 +799,7 @@ void ShardedEngine::stop() {
     for (;;) {
       std::size_t worked = 0;
       for (const auto& shard : shards_) {
-        worked += adopt_inbox(*shard);
-        worked += apply_commands(*shard);
-        worked += shard->engine->drain();
-        collect_events(*shard);
-        publish_deadline(*shard);
-        mark_done(*shard);
-        publish_backlog(*shard);
+        worked += run_round(*shard, /*drain_engine=*/true).work;
       }
       if (worked == 0) break;
     }
@@ -813,15 +828,7 @@ void ShardedEngine::stop() {
 std::size_t ShardedEngine::pump_shard(std::size_t s) {
   RT_REQUIRE(!running(), "pump_shard: engine is in threaded mode");
   RT_REQUIRE(s < shards_.size(), "shard index out of range");
-  Shard& shard = *shards_[s];
-  std::size_t worked = adopt_inbox(shard);
-  worked += apply_commands(shard);
-  worked += shard.engine->step();
-  collect_events(shard);
-  publish_deadline(shard);
-  mark_done(shard);
-  publish_backlog(shard);
-  return worked;
+  return run_round(*shards_[s], /*drain_engine=*/false).work;
 }
 
 std::size_t ShardedEngine::drain() {
@@ -829,17 +836,10 @@ std::size_t ShardedEngine::drain() {
   std::size_t total_frames = 0;
   for (;;) {
     std::size_t worked = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      worked += adopt_inbox(shard);
-      worked += apply_commands(shard);
-      const std::size_t frames = shard.engine->drain();
-      worked += frames;
-      total_frames += frames;
-      collect_events(shard);
-      publish_deadline(shard);
-      mark_done(shard);
-      publish_backlog(shard);
+    for (const auto& shard : shards_) {
+      const RoundResult round = run_round(*shard, /*drain_engine=*/true);
+      worked += round.work;
+      total_frames += round.frames;
     }
     if (worked == 0) return total_frames;
   }
@@ -1014,7 +1014,10 @@ std::size_t ShardedEngine::seize_and_migrate(std::size_t s,
   }
 
   for (StreamEntry* e : latched) latch_release(e->route_latch);
-  for (const auto& shard : shards_) publish_backlog(*shard);
+  // Only the seized shard: no pump runs on it, so this thread may read
+  // its engine. A target's own next round (its pump's, or the caller's
+  // in synchronous mode) republishes the target's backlog.
+  publish_backlog(source);
 
   if (telemetry != nullptr) {
     if (record_failover) telemetry->fault().failovers->add(1);

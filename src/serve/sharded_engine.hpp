@@ -1,4 +1,4 @@
-// Sharded multi-engine serving layer.
+// The serving engine: one stream API, one implementation, 1..N shards.
 //
 // A ShardedEngine owns N engine replicas ("shards"): each shard compiles
 // its own CompiledSpeechModel instance, owns a private thread pool
@@ -9,17 +9,23 @@
 // lock; one pump thread per shard applies queued commands and steps its
 // engine. A ShardRouter admits each new stream to a shard (round-robin,
 // least-loaded by queue depth, or session-hash affinity), and a
-// StatsAggregator folds per-shard RuntimeStats into the fleet view.
+// StatsAggregator folds per-shard RuntimeStats into the fleet view. The
+// value types of the stream API (handles, open results, events) live in
+// serve/recognizer.hpp.
 //
 // Two execution modes:
 //  - threaded: start() launches one pump thread per shard; stop() is a
 //    graceful shutdown that serves everything already submitted before
 //    returning.
 //  - synchronous: without start(), the caller drives pump_shard()/
-//    drain() directly — the mode tests use to prove that per-stream
+//    drain() directly. This is the single-engine deployment (shards = 1,
+//    one caller submitting and stepping, e.g. a drive-mode
+//    net::RecognizerServer), the mode tests use to prove that per-stream
 //    logits are bit-identical regardless of shard placement, and the
 //    mode in which drain_shard() migrates live streams (hidden state,
 //    queued frames, and produced logits intact) onto sibling shards.
+//    Opens and closes apply in place; audio and finish commands queue
+//    until the next pump_shard()/drain().
 #pragma once
 
 #include <array>
@@ -104,14 +110,14 @@ struct ShardConfig {
   SupervisorConfig supervisor;
 };
 
-class ShardedEngine final : public Recognizer {
+class ShardedEngine {
  public:
   /// Compiles `config.shards` replicas of `model` under `options` (the
   /// per-shard thread width and core range are filled in per replica).
   ShardedEngine(const SpeechModel& model,
                 const std::map<std::string, BlockMask>& masks,
                 const CompilerOptions& options, ShardConfig config);
-  ~ShardedEngine() override;
+  ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -125,16 +131,24 @@ class ShardedEngine final : public Recognizer {
   /// drives the session-hash policy: clients reusing a key stick to one
   /// shard; other policies ignore it). The stream's decoder config rides
   /// the open command to its shard.
-  using Recognizer::open_stream;
-  /// Typed admission. kRejectedOverBudget: the stream carries a deadline
-  /// budget and even the shard the router would pick last published a
-  /// worst-stream lag beyond it (every shard is at least that far
-  /// behind, so the stream's frames would be shed on arrival).
-  /// kBackpressure: the target shard's ingress ring had no room for the
-  /// open command (transient; the slot is recycled, nothing leaks).
-  [[nodiscard]] OpenResult try_open_stream(const StreamConfig& config) override;
-  /// Pre-Recognizer compatibility surface: a keyed stream with NO
-  /// in-loop decoding, exactly the pre-redesign behavior — existing
+  ///
+  /// Typed admission: the outcome is a status, never a throw or a spin.
+  /// kRejectedOverBudget: the stream carries a deadline budget and even
+  /// the shard the router would pick last published a worst-stream lag
+  /// beyond it (every shard is at least that far behind, so the stream's
+  /// frames would be shed on arrival). kBackpressure: the target shard's
+  /// ingress ring had no room for the open command (transient; the slot
+  /// is recycled, nothing leaks).
+  [[nodiscard]] OpenResult try_open_stream(const StreamConfig& config);
+  /// try_open_stream that retries kBackpressure (yielding between
+  /// attempts) and throws std::runtime_error on kRejectedOverBudget —
+  /// transports that need to degrade instead of throw call
+  /// try_open_stream directly.
+  [[nodiscard]] StreamHandle open_stream(const StreamConfig& config);
+  [[nodiscard]] StreamHandle open_stream() {
+    return open_stream(StreamConfig{});
+  }
+  /// Logits-only surface: a keyed stream with NO in-loop decoding —
   /// logits-only callers (and their benchmark baselines) keep their
   /// workload. New code passes a StreamConfig, where decoding defaults
   /// on.
@@ -145,10 +159,10 @@ class ShardedEngine final : public Recognizer {
   /// the shard's pump died on an internal error (retrying could never
   /// succeed); stop() reports the underlying cause.
   [[nodiscard]] bool submit_audio(StreamHandle h,
-                                  std::span<const float> samples) override;
+                                  std::span<const float> samples);
   /// Marks end of audio (releases the front end's lookahead tail). Same
   /// backpressure contract as submit_audio.
-  [[nodiscard]] bool finish_stream(StreamHandle h) override;
+  [[nodiscard]] bool finish_stream(StreamHandle h);
   /// Releases the stream's session (results included) once the client
   /// has read its logits — without this, finished sessions accumulate on
   /// their engines forever. Closing a live stream abandons it. Same
@@ -156,7 +170,7 @@ class ShardedEngine final : public Recognizer {
   /// close is issued: the owning client must not race stream_logits()
   /// against close_stream() on the same handle (same rule as read()
   /// racing close() on a file descriptor).
-  [[nodiscard]] bool close_stream(StreamHandle h) override;
+  [[nodiscard]] bool close_stream(StreamHandle h);
 
   // ---- hypothesis events (any thread) ----
   /// Drains the stream's hypothesis events into `out`. Each shard's pump
@@ -165,26 +179,34 @@ class ShardedEngine final : public Recognizer {
   /// live in the handle table, so an event survives its stream's
   /// migration to another shard.
   std::size_t poll_events(StreamHandle h,
-                          std::vector<speech::StreamEvent>& out) override;
+                          std::vector<speech::StreamEvent>& out);
   /// Drain-all: every stream's pending events, tagged with their handles.
-  std::size_t poll_events(std::vector<RecognizerEvent>& out) override;
-  /// Sleeps until a pump publishes events into some mailbox (or timeout).
-  /// See the wakeup contract in recognizer.hpp.
-  bool wait_for_events(std::chrono::microseconds timeout) override;
+  /// Deterministic order: streams appear in ascending handle id
+  /// (per-stream event order preserved), identical across shard counts
+  /// and runs.
+  std::size_t poll_events(std::vector<RecognizerEvent>& out);
+  /// Blocks until some mailbox holds an event or `timeout` elapses;
+  /// true when events are (or may be) pending, false on timeout. The
+  /// event-loop hook: a transport's poll thread sleeps here instead of
+  /// spin-polling poll_events. Every round that publishes events
+  /// notifies, whether a pump or a synchronous caller ran it. Spurious
+  /// wakeups are allowed, and a true return does not reserve the events
+  /// (a concurrent poller may drain them first); false guarantees only
+  /// that no event was pending for one full timeout.
+  bool wait_for_events(std::chrono::microseconds timeout);
 
   /// True once the stream's audio is finished and every frame is served.
   /// After it returns true, stream_logits() is safe from any thread (for
   /// as long as the handle is not closed). Throws if the stream's shard
   /// died before completing it — it would otherwise never flip.
-  [[nodiscard]] bool stream_done(StreamHandle h) const override;
+  [[nodiscard]] bool stream_done(StreamHandle h) const;
   /// The stream's deadline accounting as last published by its shard's
   /// pump (after every scheduling round) — readable from any thread
   /// without touching the engine.
-  [[nodiscard]] StreamDeadlineStats stream_deadline_stats(
-      StreamHandle h) const override;
+  [[nodiscard]] StreamDeadlineStats stream_deadline_stats(StreamHandle h) const;
   /// The stream's logits so far. Requires the stream to be done, or the
   /// engine to be out of threaded mode (no pump running).
-  [[nodiscard]] Matrix stream_logits(StreamHandle h) const override;
+  [[nodiscard]] Matrix stream_logits(StreamHandle h) const;
   /// Which shard currently serves the stream (moves on migration).
   [[nodiscard]] std::size_t stream_shard(StreamHandle h) const;
 
@@ -209,7 +231,7 @@ class ShardedEngine final : public Recognizer {
   std::size_t pump_shard(std::size_t s);
   /// Pumps all shards round-robin until no shard makes progress (all
   /// submitted audio served). Returns total frames stepped.
-  std::size_t drain() override;
+  std::size_t drain();
 
   // ---- shard drain / migration (synchronous mode) ----
   /// Gracefully drains shard `s`: stops admission, flushes its ingress
@@ -264,8 +286,8 @@ class ShardedEngine final : public Recognizer {
   /// Fleet view: merged counters/latency plus capacity and wall-clock
   /// throughput over the threaded serving windows accumulated since the
   /// last reset_stats (requires no pump running).
-  [[nodiscard]] GlobalStats stats() const override;
-  void reset_stats() override;
+  [[nodiscard]] GlobalStats stats() const;
+  void reset_stats();
 
  private:
   struct StreamEntry {
@@ -403,6 +425,15 @@ class ShardedEngine final : public Recognizer {
   /// counters are published while it is still local.
   void publish_deadline(Shard& shard);
   void publish_backlog(Shard& shard);
+  struct RoundResult {
+    std::size_t work = 0;    // sessions adopted + commands + frames
+    std::size_t frames = 0;  // frames the engine stepped
+  };
+  /// One scheduling round: adopts migrated sessions, applies queued
+  /// commands, steps the engine once (or, with `drain_engine`, until
+  /// dry), then publishes events, deadline accounting, completions, and
+  /// the backlog, in that order.
+  RoundResult run_round(Shard& shard, bool drain_engine);
   void pump_loop(std::size_t s);
   std::vector<std::size_t> snapshot_loads() const;
   std::vector<double> snapshot_lags_us() const;

@@ -32,7 +32,6 @@
 #include "obs/telemetry.hpp"
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
-#include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "serve/submission_queue.hpp"
 #include "sparse/block_mask.hpp"
@@ -533,6 +532,14 @@ TEST(ShardMigration, DrainRacingLiveSubmittersLosesNothing) {
 
 // --------------------------------------------- net front self-defense
 
+/// The single-engine deployment a drive-mode server steps: one shard,
+/// never started.
+ShardConfig one_shard() {
+  ShardConfig config;
+  config.shards = 1;
+  return config;
+}
+
 /// Raw HTTP/1.0 GET against the metrics port; returns the whole response.
 std::string http_get(std::uint16_t port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -564,8 +571,7 @@ TEST(NetFault, IdleConnectionsAreReapedWithTypedTimeout) {
   // rt_fault_reaped_connections_total, and the count is scrapeable over
   // the live /metrics endpoint — the whole loop, end to end over TCP.
   const ServeFixture f = make_fixture(16, 1006);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  serve::LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   obs::Telemetry telemetry;
   net::ServerConfig server_config;
   server_config.telemetry = &telemetry;
@@ -606,8 +612,7 @@ TEST(NetFault, IdleConnectionsAreReapedWithTypedTimeout) {
 
 TEST(NetFault, InjectedPeerResetDropsOnlyTheVictimConnection) {
   const ServeFixture f = make_fixture(16, 1007);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  serve::LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   obs::Telemetry telemetry;
   FaultInjector injector(&telemetry);
   net::ServerConfig server_config;
@@ -653,8 +658,7 @@ TEST(NetFault, WritingToPeerClosedSocketDoesNotKillTheServer) {
   // peer already closed. The process must survive (MSG_NOSIGNAL +
   // SIG_IGN) and keep serving its other clients.
   const ServeFixture f = make_fixture(16, 1008);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  serve::LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   net::RecognizerServer server(recognizer, net::ServerConfig{});
   server.start();
 
@@ -718,8 +722,7 @@ TEST(NetFault, AbsurdDeclaredFrameLengthGetsTypedRefusal) {
   EXPECT_EQ(zeroed.failure(), net::WireError::kProtocol);
 
   const ServeFixture f = make_fixture(16, 1009);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  serve::LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   net::RecognizerServer server(recognizer, net::ServerConfig{});
   server.start();
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

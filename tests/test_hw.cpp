@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "hw/device_model.hpp"
 #include "hw/energy_model.hpp"
@@ -64,6 +66,31 @@ TEST(ThreadPool, PropagatesExceptions) {
     counter.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPool, BackToBackJobsOfVaryingWidthRunEachTaskOnce) {
+  // Short jobs of changing width, back to back: a worker still leaving
+  // one job must never claim tasks against the next job's task list
+  // (or the reverse) — every task runs exactly once per job.
+  // More workers than cores, so workers get preempted mid-claim.
+  ThreadPool pool(16);
+  for (std::size_t job = 0; job < 20000; ++job) {
+    const std::size_t width = 1 + job % 5;
+    std::vector<std::atomic<int>> hits(width);
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t t = 0; t < width; ++t) {
+      tasks.emplace_back([&hits, t, job] {
+        // A few hundred ns of work, so workers join in.
+        double sink = static_cast<double>(job);
+        for (int i = 0; i < 200; ++i) benchmark_do_not_optimize(sink);
+        hits[t].fetch_add(1);
+      });
+    }
+    pool.run_all(tasks);
+    for (std::size_t t = 0; t < width; ++t) {
+      ASSERT_EQ(hits[t].load(), 1) << "job " << job << " task " << t;
+    }
+  }
 }
 
 TEST(ThreadPool, RejectsZeroThreads) {

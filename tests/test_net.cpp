@@ -2,7 +2,7 @@
 // input, fragmentation), and the epoll server end-to-end over loopback.
 //
 // The load-bearing guarantee: events read off the wire are bit-identical
-// to the events a direct Recognizer::poll_events client sees for the
+// to the events a direct ShardedEngine::poll_events client sees for the
 // same audio — the transport adds delivery, never interpretation.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "rnn/model.hpp"
 #include "rnn/param_set.hpp"
 #include "runtime/clock.hpp"
-#include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "tensor/ops.hpp"
@@ -40,8 +39,7 @@ using net::ServerConfig;
 using net::ServerMessage;
 using net::WireClient;
 using net::WireError;
-using serve::LocalRecognizer;
-using serve::Recognizer;
+using serve::ShardedEngine;
 using serve::StreamConfig;
 using serve::StreamHandle;
 using speech::StreamEvent;
@@ -326,10 +324,19 @@ ServeFixture make_fixture(std::size_t hidden, std::uint64_t seed) {
   return f;
 }
 
+/// The single-engine deployment: one shard, never started, so the
+/// caller (or a drive-mode server loop) steps it.
+serve::ShardConfig one_shard(runtime::EngineConfig engine = {}) {
+  serve::ShardConfig config;
+  config.shards = 1;
+  config.engine = engine;
+  return config;
+}
+
 /// Direct (no-socket) reference: the event sequences a caller-driven
 /// client collects for `waves`.
 std::vector<std::vector<StreamEvent>> direct_events(
-    Recognizer& recognizer, const std::vector<std::vector<float>>& waves,
+    ShardedEngine& recognizer, const std::vector<std::vector<float>>& waves,
     const StreamConfig& config, std::size_t chunk) {
   std::vector<StreamHandle> handles;
   std::vector<std::vector<StreamEvent>> events(waves.size());
@@ -400,7 +407,7 @@ std::vector<std::vector<StreamEvent>> wire_events(
   return events;
 }
 
-TEST(NetServer, LoopbackEventsBitIdenticalToDirectPoll_Local) {
+TEST(NetServer, LoopbackEventsBitIdenticalToDirectPoll_OneShard) {
   const ServeFixture f = make_fixture(16, 900);
   std::vector<std::vector<float>> waves;
   for (std::size_t s = 0; s < 3; ++s) {
@@ -411,12 +418,11 @@ TEST(NetServer, LoopbackEventsBitIdenticalToDirectPoll_Local) {
     StreamConfig config;
     config.decode.mode = mode;
 
-    CompiledSpeechModel direct_model(*f.model, f.masks, f.options, nullptr);
-    LocalRecognizer direct(direct_model);
+    ShardedEngine direct(*f.model, f.masks, f.options, one_shard());
     const auto reference = direct_events(direct, waves, config, 1600);
 
-    CompiledSpeechModel served_model(*f.model, f.masks, f.options, nullptr);
-    LocalRecognizer served(served_model);
+    // Served: never started, so the server loop drives it (drive mode).
+    ShardedEngine served(*f.model, f.masks, f.options, one_shard());
     RecognizerServer server(served, ServerConfig{});
     server.start();
     const auto wired = wire_events(server.port(), waves, config, 1600);
@@ -467,16 +473,22 @@ TEST(NetServer, OpenRejectedOverBudgetOnTheWire) {
   // exactly 1 s, then a deadline-carrying open must be refused with the
   // typed wire error (no handle, no compute).
   const ServeFixture f = make_fixture(16, 902);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
   runtime::ManualClock clock;
   runtime::EngineConfig engine_config;
   engine_config.clock = &clock;
-  LocalRecognizer recognizer(model, engine_config);
+  ShardedEngine recognizer(*f.model, f.masks, f.options,
+                           one_shard(engine_config));
 
-  // A direct stream with queued-but-unserved audio is what lags.
+  // A direct stream with queued-but-unserved audio is what lags: the
+  // first round ingests its audio at t = 0 (and serves one frame), the
+  // second, 1 s later, publishes the ~1 s wait of the frames still
+  // queued — the lag admission control reads.
   const StreamHandle background = recognizer.open_stream();
   ASSERT_TRUE(recognizer.submit_audio(background, random_waveform(4000, 1)));
+  ASSERT_GT(recognizer.pump_shard(0), 0U);
   clock.advance_us(1e6);
+  ASSERT_GT(recognizer.pump_shard(0), 0U);
+  ASSERT_GT(recognizer.shard_lag_seconds(0), 0.5);
 
   // drive_recognizer = false so hand-driven loop iterations never call
   // drain() — the 1 s lag must persist across the admission check.
@@ -514,8 +526,7 @@ TEST(NetServer, OpenRejectedOverBudgetOnTheWire) {
 
 TEST(NetServer, ProtocolViolationsGetTypedErrors) {
   const ServeFixture f = make_fixture(16, 903);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   obs::Telemetry telemetry;
   ServerConfig server_config;
   server_config.telemetry = &telemetry;
@@ -631,8 +642,7 @@ TEST(NetServer, SlowConsumerIsDroppedNotBuffered) {
   // A client that writes audio but never reads its events would grow
   // the server's write buffer without bound; the cap drops it instead.
   const ServeFixture f = make_fixture(16, 905);
-  CompiledSpeechModel model(*f.model, f.masks, f.options, nullptr);
-  LocalRecognizer recognizer(model);
+  ShardedEngine recognizer(*f.model, f.masks, f.options, one_shard());
   obs::Telemetry telemetry;
   ServerConfig server_config;
   server_config.max_write_buffer = 64;  // smaller than any event burst

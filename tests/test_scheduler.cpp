@@ -1,9 +1,10 @@
 // Tests for deadline-aware scheduling: the session real-time clock model
 // (deterministic lag accounting under a ManualClock), EDF / lag-aware
 // stream ordering, shed and reject overload thresholds with their
-// kDegraded / kRejected events, sharded-vs-local parity of the deadline
-// stats, and the round-robin cursor regressions (release/remove below
-// the cursor must not skip streams).
+// kDegraded / kRejected events, parity of a one-shard ShardedEngine's
+// published deadline stats with its bare engine's, and the round-robin
+// cursor regressions (release/remove below the cursor must not skip
+// streams).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -18,7 +19,6 @@
 #include "runtime/inference_engine.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/streaming_session.hpp"
-#include "serve/local_recognizer.hpp"
 #include "serve/sharded_engine.hpp"
 #include "sparse/block_mask.hpp"
 #include "speech/mfcc.hpp"
@@ -367,7 +367,7 @@ TEST(OverloadPolicyActions, RejectTerminatesStreamAndEmitsRejected) {
 }
 
 // ------------------------------------- serve-layer deadline stats parity
-TEST(DeadlineStatsParity, ShardedMatchesLocalUnderSharedManualClock) {
+TEST(DeadlineStatsParity, ShardedMatchesEngineUnderSharedManualClock) {
   const std::size_t kHidden = 16;
   TestDeployment d = make_deployment(kHidden, 41);
   ManualClock clock;
@@ -375,7 +375,8 @@ TEST(DeadlineStatsParity, ShardedMatchesLocalUnderSharedManualClock) {
       engine_config(clock, SchedulerPolicy::kLagAware,
                     OverloadPolicy::kShed, /*max_batch=*/1);
 
-  serve::LocalRecognizer local(*d.compiled, engine_cfg);
+  // Reference: the bare engine the shard wraps, stepped by hand.
+  InferenceEngine engine(*d.compiled, engine_cfg);
   serve::ShardConfig shard_config;
   shard_config.shards = 1;
   shard_config.policy = serve::RoutePolicy::kLeastLag;
@@ -386,39 +387,40 @@ TEST(DeadlineStatsParity, ShardedMatchesLocalUnderSharedManualClock) {
   stream_config.decode.mode = speech::DecodeMode::kNone;
   stream_config.deadline.budget_seconds = 0.05;
 
-  const serve::StreamHandle lh = local.open_stream(stream_config);
+  StreamingSession& session =
+      engine.create_session(engine_cfg.mfcc, stream_config.decode);
+  session.set_deadline(stream_config.deadline);
   const serve::StreamHandle sh = sharded.open_stream(stream_config);
   const std::vector<float> wave = random_waveform(3200, 77);
-  ASSERT_TRUE(local.submit_audio(lh, wave));
-  ASSERT_TRUE(local.finish_stream(lh));
+  session.push_audio(wave);
+  session.finish();
   ASSERT_TRUE(sharded.submit_audio(sh, wave));
   ASSERT_TRUE(sharded.finish_stream(sh));
-  // Apply the sharded commands at the same virtual time the local
-  // recognizer ingested its audio (pump_shard applies, then steps once;
-  // mirror with one local step).
+  // Apply the sharded commands at the same virtual time the bare engine
+  // ingested its audio (pump_shard applies, then steps once; mirror with
+  // one engine step).
   ASSERT_GT(sharded.pump_shard(0), 0U);
-  ASSERT_GT(local.step(), 0U);
+  ASSERT_GT(engine.step(), 0U);
 
   // Let both fall 80 ms behind (past the 50 ms budget), then serve a
   // round: the overdue head frames shed identically.
   clock.advance_us(80'000.0);
-  local.step();
+  engine.step();
   sharded.pump_shard(0);
-  while (local.step() > 0) {
+  while (engine.step() > 0) {
   }
   while (sharded.pump_shard(0) > 0) {
   }
 
-  const serve::StreamDeadlineStats ls = local.stream_deadline_stats(lh);
   const serve::StreamDeadlineStats ss = sharded.stream_deadline_stats(sh);
-  EXPECT_GT(ls.shed_frames, 0U);
-  EXPECT_EQ(ls.shed_frames, ss.shed_frames);
-  EXPECT_EQ(ls.deadline_misses, ss.deadline_misses);
-  EXPECT_EQ(ls.rejected, ss.rejected);
-  EXPECT_DOUBLE_EQ(ls.lag_seconds, 0.0);
+  EXPECT_GT(session.shed_frames(), 0U);
+  EXPECT_EQ(session.shed_frames(), ss.shed_frames);
+  EXPECT_EQ(session.deadline_misses(), ss.deadline_misses);
+  EXPECT_EQ(session.rejected(), ss.rejected);
+  EXPECT_DOUBLE_EQ(session.lag_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(ss.lag_seconds, 0.0);
 
-  const runtime::RuntimeStats& lstats = local.engine().stats();
+  const runtime::RuntimeStats& lstats = engine.stats();
   const runtime::RuntimeStats& sstats = sharded.shard_stats(0);
   EXPECT_EQ(lstats.frames_processed, sstats.frames_processed);
   EXPECT_EQ(lstats.shed_frames, sstats.shed_frames);
